@@ -78,9 +78,9 @@ impl Command {
         }
     }
 
-    /// `--seed N` (deterministic RNG / workload seed).
+    /// `--seed N` (deterministic RNG / workload seed; decimal or `0x` hex).
     pub fn seed_flag(self) -> Self {
-        self.flag("seed", "N", "deterministic seed")
+        self.flag("seed", "N", "deterministic seed (decimal or 0x hex)")
     }
 
     /// `--out FILE` (primary report destination; stdout when omitted).
@@ -227,12 +227,36 @@ impl<'a> Parsed<'a> {
     /// Parses `--name`'s value, or returns `default` when absent. Errors
     /// carry the flag name and the offending token.
     pub fn get_or<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.parse_or(name, default, |v| v.parse().ok())
+    }
+
+    /// `--seed`'s value through [`parse_seed`], or `default` when absent.
+    pub fn seed_or(&self, default: u64) -> Result<u64, String> {
+        self.parse_or("seed", default, parse_seed)
+    }
+
+    fn parse_or<T>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("invalid value for --{name}: `{v}` (r2d3 {})", self.command)),
+            Some(v) => parse(v).ok_or_else(|| {
+                format!("invalid value for --{name}: `{v}` (r2d3 {})", self.command)
+            }),
         }
+    }
+}
+
+/// Parses a seed token: decimal (`51770`) or `0x`-prefixed hex
+/// (`0xCA3A`), the form every report and replay hint prints seeds in.
+#[must_use]
+pub fn parse_seed(token: &str) -> Option<u64> {
+    match token.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => token.parse().ok(),
     }
 }
 
@@ -311,6 +335,25 @@ mod tests {
         let p = cmd().parse(&a).unwrap().unwrap();
         let err = p.get_or("pipes", 0usize).unwrap_err();
         assert!(err.contains("--pipes") && err.contains("zebra"), "{err}");
+    }
+
+    #[test]
+    fn seeds_parse_as_decimal_or_hex() {
+        assert_eq!(parse_seed("51770"), Some(0xCA3A));
+        assert_eq!(parse_seed("0xCA3A"), Some(51770));
+        assert_eq!(parse_seed("0xca3a"), Some(51770));
+        assert_eq!(parse_seed("0xffffffffffffffff"), Some(u64::MAX));
+        for bad in ["", "0x", "-1", "+0x1", "0x-1", "ca3a", "0xg", "0x1_0", "18446744073709551616"]
+        {
+            assert_eq!(parse_seed(bad), None, "{bad:?} must be rejected");
+        }
+        let a = args(&["f", "--seed", "0xBADD"]);
+        assert_eq!(cmd().parse(&a).unwrap().unwrap().seed_or(1).unwrap(), 0xBADD);
+        let a = args(&["f"]);
+        assert_eq!(cmd().parse(&a).unwrap().unwrap().seed_or(7).unwrap(), 7);
+        let a = args(&["f", "--seed", "0xZZ"]);
+        let err = cmd().parse(&a).unwrap().unwrap().seed_or(7).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("0xZZ"), "{err}");
     }
 
     #[test]

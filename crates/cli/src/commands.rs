@@ -115,7 +115,7 @@ pub fn inject(args: &[String]) -> CliResult {
     let spec = JobSpec::inject(unit, layer)
         .bit(bit)
         .substrate(substrate)
-        .seed(p.get_or("seed", 7)?)
+        .seed(p.seed_or(7)?)
         .epochs(p.get_or("epochs", 64)?)
         .build()
         .map_err(|e| e.to_string())?;
@@ -216,7 +216,7 @@ pub fn campaign(args: &[String]) -> CliResult {
     // config comes out of its `to_config()`, so batch and served runs
     // cannot assemble different campaigns from the same parameters.
     let mut builder = JobSpec::campaign()
-        .seed(p.get_or("seed", 0xCA3A)?)
+        .seed(p.seed_or(0xCA3A)?)
         .scenarios(p.get_or("scenarios", if smoke { 27 } else { 256 })?)
         .substrates(substrates)
         .kinds(parse_kinds(p.get("kinds"))?);
@@ -482,7 +482,7 @@ pub fn trace(args: &[String]) -> CliResult {
         return check_trace(path);
     }
 
-    let seed: u64 = p.get_or("seed", 7)?;
+    let seed: u64 = p.seed_or(7)?;
     let epochs: u64 = p.get_or("epochs", 24)?;
     let victim = StageId::new(2, Unit::Exu);
 
@@ -729,7 +729,7 @@ pub fn lifetime(args: &[String]) -> CliResult {
         .policy(policy)
         .months(months)
         .workload(workload)
-        .seed(p.get_or("seed", 0x52D3)?)
+        .seed(p.seed_or(0x52D3)?)
         .build()
         .map_err(|e| e.to_string())?;
     let JobKind::Lifetime(lspec) = &spec.kind else { unreachable!("built as lifetime") };
@@ -858,7 +858,7 @@ pub fn chaos(args: &[String]) -> CliResult {
     };
     let smoke = p.has("smoke");
     let config = r2d3_core::campaign::ChaosConfig {
-        seed: p.get_or("seed", 0xC4A0)?,
+        seed: p.seed_or(0xC4A0)?,
         schedules: p.get_or("schedules", if smoke { 40 } else { 256 })?,
     };
     let report = r2d3_core::campaign::run_chaos(&config);

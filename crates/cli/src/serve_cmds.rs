@@ -158,7 +158,7 @@ fn submit_campaign(args: &[String]) -> CliResult {
         SubstrateChoice::Both => vec![SubstrateKind::Behavioral, SubstrateKind::Netlist],
     };
     let mut builder = JobSpec::campaign()
-        .seed(p.get_or("seed", 0xCA3A)?)
+        .seed(p.seed_or(0xCA3A)?)
         .scenarios(p.get_or("scenarios", if smoke { 27 } else { 256 })?)
         .substrates(substrates)
         .kinds(crate::commands::parse_kinds(p.get("kinds"))?)
@@ -192,7 +192,7 @@ fn submit_lifetime(args: &[String]) -> CliResult {
         .policy(policy)
         .months(p.get_or("months", 96)?)
         .workload(workload)
-        .seed(p.get_or("seed", 0x52D3)?)
+        .seed(p.seed_or(0x52D3)?)
         .priority(p.get_or("priority", 0)?)
         .build()
         .map_err(|e| e.to_string())?;
@@ -226,7 +226,7 @@ fn submit_inject(args: &[String]) -> CliResult {
     let spec = JobSpec::inject(unit, layer)
         .bit(p.get_or("bit", 0)?)
         .substrate(substrate)
-        .seed(p.get_or("seed", 7)?)
+        .seed(p.seed_or(7)?)
         .epochs(p.get_or("epochs", 64)?)
         .priority(p.get_or("priority", 0)?)
         .build()

@@ -21,7 +21,6 @@ use crate::repair::{core_level_formable, stage_level_formable};
 use crate::snapshot::{self, SnapshotError};
 use crate::substrate::ReliabilitySubstrate;
 use crate::EngineError;
-use parking_lot::Mutex;
 use r2d3_aging::mttf::{mttf_monte_carlo, MttfConfig};
 use r2d3_aging::nbti::{NbtiModel, NbtiParams, NbtiState};
 use r2d3_aging::{kelvin, BOLTZMANN_EV, SECONDS_PER_MONTH};
@@ -36,7 +35,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Which system-failure criterion the forward-MTTF Monte Carlo uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -281,6 +280,15 @@ struct SolvedMonth {
 /// masks the key's low bits); 16 comfortably exceeds the worker cap.
 const CACHE_SHARDS: usize = 16;
 
+/// Every lock here guards a cache entry or a debug record; one is
+/// poisoned only if a replica panicked while holding it, which already
+/// aborts the run.
+const POISONED: &str = "lifetime lock poisoned by a panicked replica";
+
+/// One in-flight-dedup cache slot: filled exactly once, under the slot's
+/// own lock, by the first replica to claim the key.
+type CacheSlot = Arc<Mutex<Option<Arc<SolvedMonth>>>>;
+
 /// Thermal solves shared across replicas, keyed by a *chained hash* of
 /// the quantized duty history. Two trajectories collide on a key only if
 /// their entire duty history matches — which also pins the warm-start
@@ -297,10 +305,6 @@ const CACHE_SHARDS: usize = 16;
 /// slot — never the shard — and then reuse the result instead of
 /// re-solving. Entries are pure functions of their key, so striping and
 /// in-flight dedup change timing only, never results.
-/// One in-flight-dedup cache slot: filled exactly once, under the slot's
-/// own lock, by the first replica to claim the key.
-type CacheSlot = Arc<Mutex<Option<Arc<SolvedMonth>>>>;
-
 struct ThermalCache {
     shards: [Mutex<HashMap<u64, CacheSlot>>; CACHE_SHARDS],
 }
@@ -314,7 +318,9 @@ impl ThermalCache {
     /// lock only for the map access, never across a solve.
     fn slot(&self, key: u64) -> CacheSlot {
         let shard = &self.shards[key as usize & (CACHE_SHARDS - 1)];
-        Arc::clone(shard.lock().entry(key).or_insert_with(|| Arc::new(Mutex::new(None))))
+        Arc::clone(
+            shard.lock().expect(POISONED).entry(key).or_insert_with(|| Arc::new(Mutex::new(None))),
+        )
     }
 }
 
@@ -703,7 +709,7 @@ impl LifetimeSim {
     /// Final-month per-stage wear/duty/temps of the last replica run.
     #[doc(hidden)]
     pub fn take_debug(&self) -> Option<ReplicaDebug> {
-        self.debug.lock().take()
+        self.debug.lock().expect(POISONED).take()
     }
 
     /// The configuration.
@@ -763,7 +769,7 @@ impl LifetimeSim {
                 map = hot_map;
             }
             if replica + 1 == cfg.replicas {
-                *self.debug.lock() = debug;
+                *self.debug.lock().expect(POISONED) = debug;
             }
         }
 
@@ -878,7 +884,7 @@ impl LifetimeSim {
             }
             live = ReplicaState::fresh(cfg, next);
         }
-        *self.debug.lock() = debug;
+        *self.debug.lock().expect(POISONED) = debug;
 
         Ok(Some(LifetimeOutcome {
             policy: cfg.policy,
@@ -1139,7 +1145,7 @@ impl LifetimeSim {
         // recomputing it. (An errored solve releases the slot empty, so
         // waiters retry the solve themselves.)
         let slot = cache.slot(key);
-        let mut entry = slot.lock();
+        let mut entry = slot.lock().expect(POISONED);
         if let Some(hit) = entry.as_ref() {
             return Ok(hit.clone());
         }

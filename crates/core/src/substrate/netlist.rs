@@ -18,7 +18,6 @@
 
 use super::ReliabilitySubstrate;
 use crate::EngineError;
-use parking_lot::Mutex;
 use r2d3_isa::Unit;
 use r2d3_netlist::netlist::{NetId, Netlist};
 use r2d3_netlist::stages::{stage_netlist, StageNetlist, StageSizing};
@@ -27,7 +26,7 @@ use r2d3_pipeline_sim::{ActivityStats, Fabric, LinkFault, StageId, StageRecord, 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A permanent gate-level fault: one net stuck at a logic level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,6 +147,10 @@ struct FoldCache {
 /// Evaluation-cache bound: beyond this many blocks the cache resets
 /// (entries are recomputable; this only caps memory).
 const CACHE_CAP: usize = 8192;
+
+/// The fold-cache lock is poisoned only if a replay panicked while
+/// holding it, which is already a fatal bug in the substrate.
+const FOLD_CACHE_POISONED: &str = "fold cache lock poisoned by a panicked replay";
 
 /// Gate-level implementation of [`ReliabilitySubstrate`].
 pub struct NetlistSubstrate {
@@ -351,15 +354,19 @@ impl NetlistSubstrate {
         (0..nl.num_inputs()).map(|_| rng.gen()).collect()
     }
 
+    fn cache(&self) -> MutexGuard<'_, FoldCache> {
+        self.cache.lock().expect(FOLD_CACHE_POISONED)
+    }
+
     /// Full good net-value vector for `(unit, block)`, shared between the
     /// good fold and the incremental faulty scan via the cache.
     fn good_values(&self, unit: usize, block: u64) -> Arc<Vec<u64>> {
-        if let Some(hit) = self.cache.lock().goods.get(&(unit, block)) {
+        if let Some(hit) = self.cache().goods.get(&(unit, block)) {
             return Arc::clone(hit);
         }
         let nl = self.stage_netlists[unit].netlist();
         let values = Arc::new(nl.eval_all(&self.block_inputs(unit, block)));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         if cache.goods.len() >= CACHE_CAP {
             cache.goods.clear();
         }
@@ -367,12 +374,12 @@ impl NetlistSubstrate {
     }
 
     fn good_fold(&self, unit: usize, block: u64) -> [u32; 64] {
-        if let Some(hit) = self.cache.lock().good.get(&(unit, block)) {
+        if let Some(hit) = self.cache().good.get(&(unit, block)) {
             return *hit;
         }
         let nl = self.stage_netlists[unit].netlist();
         let fold = fold_block(nl, &self.good_values(unit, block));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         if cache.good.len() >= CACHE_CAP {
             cache.good.clear();
         }
@@ -382,7 +389,7 @@ impl NetlistSubstrate {
 
     fn faulty_fold(&self, stage: StageId, block: u64, fault: GateFault) -> [u32; 64] {
         let key = (stage.flat_index(), block);
-        if let Some(hit) = self.cache.lock().faulty.get(&key) {
+        if let Some(hit) = self.cache().faulty.get(&key) {
             return *hit;
         }
         // Incremental scan: walk only the fault's fanout cone over the
@@ -396,7 +403,7 @@ impl NetlistSubstrate {
         sim.cone_into(fault.net, &mut cone);
         sim.eval_stuck(&good, (fault.net, fault.stuck), &cone, &mut scratch);
         let fold = fold_lanes(sim.outputs(), |net| scratch.value(&good, net));
-        let mut cache = self.cache.lock();
+        let mut cache = self.cache();
         if cache.faulty.len() >= CACHE_CAP {
             cache.faulty.clear();
         }
@@ -609,7 +616,11 @@ impl ReliabilitySubstrate for NetlistSubstrate {
         }
         self.health[stage.flat_index()] = GateHealth::Faulty(fault);
         // Cached folds for this stage are stale now.
-        self.cache.lock().faulty.retain(|&(flat, _), _| flat != stage.flat_index());
+        self.cache
+            .get_mut()
+            .expect(FOLD_CACHE_POISONED)
+            .faulty
+            .retain(|&(flat, _), _| flat != stage.flat_index());
         Ok(())
     }
 

@@ -394,12 +394,16 @@ impl LogicalPipeline {
                 actual_output: actual_word,
             },
         );
-        if actual_word != golden_word {
+        // `decode(encode(i)) == i` (proptested in `r2d3-isa`), so only a
+        // word the IFU actually corrupted needs decoding.
+        let instr = if actual_word == golden_word {
+            golden_instr
+        } else {
             self.tainted = true;
-        }
-        let instr = match r2d3_isa::encode::decode(actual_word) {
-            Ok(i) => i,
-            Err(e) => return wedge(self, e),
+            match r2d3_isa::encode::decode(actual_word) {
+                Ok(i) => i,
+                Err(e) => return wedge(self, e),
+            }
         };
 
         // ---- execute on the primary unit --------------------------------
@@ -545,14 +549,16 @@ impl LogicalPipeline {
         golden: u32,
         record: &mut impl FnMut(Unit, StageRecord),
     ) -> u32 {
-        let mut sig_words = vec![pc];
-        sig_words.extend(srcs.iter().map(|r| self.reg(*r)));
+        let mut sig_words = [pc, 0, 0];
+        for (word, r) in sig_words[1..].iter_mut().zip(srcs) {
+            *word = self.reg(*r);
+        }
         let actual = effects.apply(unit, golden);
         record(
             unit,
             StageRecord {
                 cycle: self.cycle,
-                input_sig: input_signature(&sig_words),
+                input_sig: input_signature(&sig_words[..=srcs.len()]),
                 golden_output: golden,
                 actual_output: actual,
             },
@@ -579,6 +585,7 @@ impl LogicalPipeline {
 mod tests {
     use super::*;
     use r2d3_isa::asm::Asm;
+    use r2d3_isa::AluOp;
 
     fn run_alone(program: &Program, budget: u64) -> LogicalPipeline {
         let h = MemoryHierarchy::default();
@@ -649,6 +656,71 @@ mod tests {
         }
         assert_eq!(p.reg(Reg::R1), 16, "first op corrupted");
         assert_eq!(p.reg(Reg::R2), 0, "transient consumed");
+    }
+
+    /// Steps a one-instruction-then-halt program once under `effects`.
+    fn step_first(
+        program: Program,
+        effects: &mut StageEffects,
+    ) -> (LogicalPipeline, StepOutcome, Vec<(Unit, StageRecord)>) {
+        let h = MemoryHierarchy::default();
+        let mut l2 = Cache::new(h.l2);
+        let mut p = LogicalPipeline::new(0, &h, TimingParams::default());
+        p.load(program);
+        let mut recs = Vec::new();
+        let out = p.step(effects, &mut l2, &h, |u, r| recs.push((u, r)), |_, _| {}).unwrap();
+        (p, out, recs)
+    }
+
+    #[test]
+    fn ifu_opcode_corruption_decodes_the_corrupted_word() {
+        // `addi r1, r0, 5` has opcode 0x08; bit 26 stuck at 1 turns it into
+        // 0x09 (`subi`), so the pipeline must execute the corrupted word.
+        let mut a = Asm::new();
+        a.li(Reg::R1, 5);
+        a.halt();
+        let mut effects = StageEffects::none();
+        effects.transient[Unit::Ifu.index()] = Some(FaultEffect { bit: 26, stuck: true });
+        let (p, out, recs) = step_first(a.assemble().unwrap(), &mut effects);
+        assert_eq!(
+            out.instruction,
+            Instruction::AluImm { op: AluOp::Sub, rd: Reg::R1, rs1: Reg::R0, imm: 5 }
+        );
+        assert_eq!(p.reg(Reg::R1), 5u32.wrapping_neg());
+        assert!(p.tainted() && !p.crashed());
+        let (unit, ifu) = recs[0];
+        assert_eq!(unit, Unit::Ifu);
+        assert_eq!(ifu.actual_output, ifu.golden_output | 1 << 26);
+        assert!(effects.transient[Unit::Ifu.index()].is_none(), "transient consumed");
+    }
+
+    #[test]
+    fn ifu_corruption_to_an_invalid_opcode_wedges() {
+        // `halt` (opcode 0x03) with bit 31 stuck at 1 reads as opcode 0x23,
+        // which decodes to nothing: the pipeline crashes instead of halting.
+        let mut a = Asm::new();
+        a.halt();
+        let mut effects = StageEffects::none();
+        effects.transient[Unit::Ifu.index()] = Some(FaultEffect { bit: 31, stuck: true });
+        let (p, out, _) = step_first(a.assemble().unwrap(), &mut effects);
+        assert_eq!(out, StepOutcome { cycles: 1, instruction: Instruction::Nop });
+        assert!(p.crashed() && p.tainted() && !p.halted());
+    }
+
+    #[test]
+    fn ifu_fault_that_leaves_the_word_intact_is_harmless() {
+        // Bit 29 of `addi` (opcode 0x08) is already 1: stuck-at-1 there
+        // changes nothing, so the golden instruction runs untainted.
+        let mut a = Asm::new();
+        a.li(Reg::R1, 5);
+        a.halt();
+        let mut effects = StageEffects::none();
+        effects.permanent[Unit::Ifu.index()] = Some(FaultEffect { bit: 29, stuck: true });
+        let (p, out, recs) = step_first(a.assemble().unwrap(), &mut effects);
+        assert_eq!(out.instruction, a.assemble().unwrap().fetch(0).unwrap());
+        assert_eq!(p.reg(Reg::R1), 5);
+        assert!(!p.tainted());
+        assert_eq!(recs[0].1.actual_output, recs[0].1.golden_output);
     }
 
     #[test]

@@ -250,41 +250,37 @@ impl System3d {
     }
 
     fn run_pipe_to(&mut self, pipe: usize, target: u64) -> Result<(), SimError> {
-        // Resolve the fabric once per segment; reconfigurations happen
-        // between `run` calls (epoch boundaries), matching the paper.
-        let mut stage_of = [None; 5];
-        for unit in Unit::ALL {
-            stage_of[unit.index()] = self.fabric.stage_for(pipe, unit);
+        // Resolve the fabric and the stage effects once per segment:
+        // reconfiguration, health changes and transient injection all
+        // happen between `run` calls (epoch boundaries), matching the
+        // paper, so neither can change while this pipeline steps.
+        let stage_of = Unit::ALL.map(|unit| self.fabric.stage_for(pipe, unit));
+        let p = &mut self.pipelines[pipe];
+        if stage_of.iter().any(Option::is_none) || !p.runnable() || p.cycles() >= target {
+            // Incomplete, halted or crashed pipelines idle.
+            p.idle_to(target);
+            return Ok(());
         }
-        let complete = stage_of.iter().all(Option::is_some);
+        let stage_of = stage_of.map(|sid| sid.expect("complete pipeline"));
+        let mut effects = StageEffects::none();
+        for (unit, sid) in stage_of.iter().enumerate() {
+            effects.permanent[unit] = self.health[sid.flat_index()].effect();
+            effects.transient[unit] = self.pending_transients[sid.flat_index()].take();
+        }
+
         let mut link_corrupt = false;
-
-        loop {
-            let p = &mut self.pipelines[pipe];
-            if p.cycles() >= target {
-                break;
+        let traces = &mut self.traces;
+        let stats = &mut self.stats;
+        let fabric = &mut self.fabric;
+        let result = loop {
+            if !p.runnable() || p.cycles() >= target {
+                break Ok(());
             }
-            if !complete || !p.runnable() {
-                p.idle_to(target);
-                break;
-            }
-
-            let mut effects = StageEffects::none();
-            for unit in Unit::ALL {
-                let sid = stage_of[unit.index()].expect("complete pipeline");
-                effects.permanent[unit.index()] = self.health[sid.flat_index()].effect();
-                effects.transient[unit.index()] = self.pending_transients[sid.flat_index()].take();
-            }
-
-            let traces = &mut self.traces;
-            let stats = &mut self.stats;
-            let fabric = &mut self.fabric;
-            let result = p.step(
+            let stepped = p.step(
                 &mut effects,
                 &mut self.l2,
                 &self.config.hierarchy,
                 |unit, mut rec| {
-                    let sid = stage_of[unit.index()].expect("complete pipeline");
                     // Every stage output crosses the vertical interconnect
                     // before the consumer (and the trace ring, which snoops
                     // the delivered bundle) sees it.
@@ -293,28 +289,30 @@ impl System3d {
                         rec.actual_output = delivered;
                         link_corrupt = true;
                     }
-                    traces[sid.flat_index()].push(rec);
+                    traces[stage_of[unit.index()].flat_index()].push(rec);
                 },
-                |unit, busy| {
-                    let sid = stage_of[unit.index()].expect("complete pipeline");
-                    stats.add_busy(sid, busy);
-                },
+                |unit, busy| stats.add_busy(stage_of[unit.index()], busy),
             );
-
-            // Return unconsumed transients to the pending pool.
-            for unit in Unit::ALL {
-                if let Some(e) = effects.transient[unit.index()] {
-                    let sid = stage_of[unit.index()].expect("complete pipeline");
-                    self.pending_transients[sid.flat_index()] = Some(e);
-                }
+            if let Err(e) = stepped {
+                break Err(e);
             }
-            result?;
+        };
+
+        // Return unconsumed transients to the pending pool — on the error
+        // path too, so a later `run` still sees them.
+        for (unit, sid) in stage_of.iter().enumerate() {
+            if let Some(e) = effects.transient[unit] {
+                self.pending_transients[sid.flat_index()] = Some(e);
+            }
         }
+        result?;
+        // A pipeline that halted or crashed mid-segment idles out the rest.
+        p.idle_to(target);
         if link_corrupt {
             // The consumer latched corrupted bundles: downstream
             // architectural state is poisoned even though every stage
             // computed correctly.
-            self.pipelines[pipe].mark_tainted();
+            p.mark_tainted();
         }
         Ok(())
     }
@@ -454,6 +452,66 @@ mod tests {
         assert!(sys.pipeline(2).unwrap().tainted(), "consumer state is poisoned");
         // The stage itself is healthy: other pipelines are unaffected.
         assert_eq!(sys.health(StageId::new(2, Unit::Exu)), StageHealth::Healthy);
+    }
+
+    fn corrupted_records(sys: &System3d, stage: StageId) -> usize {
+        sys.stage_trace(stage).iter().filter(|r| r.golden_output != r.actual_output).count()
+    }
+
+    #[test]
+    fn transient_on_incomplete_pipeline_stays_pending_across_runs() {
+        let mut sys = System3d::new(&SystemConfig::default());
+        let exu = StageId::new(1, Unit::Exu);
+        sys.fabric_mut().unassign(1, Unit::Lsu).unwrap();
+        sys.load_program(1, gemv(4, 4, 3).program().clone()).unwrap();
+        sys.inject_transient(exu, FaultEffect { bit: 30, stuck: true }).unwrap();
+        for _ in 0..3 {
+            sys.run(10_000).unwrap();
+            assert!(sys.pending_transients[exu.flat_index()].is_some(), "no step ran");
+        }
+        // Completing the pipeline lets it step: the transient fires once.
+        sys.fabric_mut().assign(1, Unit::Lsu, 1).unwrap();
+        sys.run(100_000).unwrap();
+        assert!(sys.pending_transients[exu.flat_index()].is_none());
+        assert_eq!(corrupted_records(&sys, exu), 1);
+    }
+
+    #[test]
+    fn transient_on_halted_pipeline_stays_pending_until_restart() {
+        let mut sys = System3d::new(&SystemConfig::default());
+        let exu = StageId::new(0, Unit::Exu);
+        sys.load_program(0, gemv(4, 4, 3).program().clone()).unwrap();
+        sys.run(100_000).unwrap();
+        assert!(sys.pipeline(0).unwrap().halted());
+        sys.inject_transient(exu, FaultEffect { bit: 30, stuck: true }).unwrap();
+        for _ in 0..3 {
+            sys.run(10_000).unwrap();
+            assert!(sys.pending_transients[exu.flat_index()].is_some(), "no step ran");
+        }
+        assert_eq!(corrupted_records(&sys, exu), 0);
+        sys.restart_program(0).unwrap();
+        sys.run(100_000).unwrap();
+        assert!(sys.pending_transients[exu.flat_index()].is_none());
+        assert_eq!(corrupted_records(&sys, exu), 1);
+    }
+
+    #[test]
+    fn transients_are_returned_when_a_step_errors() {
+        use r2d3_isa::encode::JAL_OFFSET_MAX;
+        use r2d3_isa::{Instruction, Reg};
+        // A `jal` whose offset does not fit its field cannot be fetched:
+        // a simulator error before any stage produced output.
+        let unencodable = Instruction::Jal { rd: Reg::R0, offset: JAL_OFFSET_MAX + 1 };
+        let mut sys = System3d::new(&SystemConfig::default());
+        sys.load_program(0, Program::new(vec![unencodable], Vec::new(), 1)).unwrap();
+        let armed = [StageId::new(0, Unit::Ifu), StageId::new(0, Unit::Exu)];
+        for stage in armed {
+            sys.inject_transient(stage, FaultEffect { bit: 3, stuck: true }).unwrap();
+        }
+        assert!(sys.run(1_000).is_err());
+        for stage in armed {
+            assert!(sys.pending_transients[stage.flat_index()].is_some(), "{stage:?} lost");
+        }
     }
 
     #[test]

@@ -54,7 +54,10 @@ impl TraceRing {
         } else {
             self.records[self.next] = record;
         }
-        self.next = (self.next + 1) % self.capacity;
+        self.next += 1;
+        if self.next == self.capacity {
+            self.next = 0;
+        }
         self.total += 1;
     }
 

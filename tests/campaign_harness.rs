@@ -31,6 +31,25 @@ fn same_seed_renders_byte_identical_reports() {
     assert_ne!(a, c, "different seeds must explore different scenarios");
 }
 
+/// Pinned report of a 14-scenario-per-substrate sweep: one scenario of
+/// every fault kind on each substrate. Produced by
+/// `r2d3 campaign --scenarios 14 --out tests/golden/campaign-small.json`;
+/// any change to simulator stepping, checker replay or the engine that
+/// moves a single byte of the report fails here.
+#[test]
+fn small_campaign_matches_pinned_golden_report() {
+    let config = CampaignConfig { scenarios_per_substrate: 14, ..Default::default() };
+    assert_eq!(config.kinds.len(), 14, "the golden covers every fault kind once per substrate");
+    let rendered = render_report(&run_campaign(&config));
+    let golden = include_str!("golden/campaign-small.json");
+    if let Some((line, (got, want))) =
+        rendered.lines().zip(golden.lines()).enumerate().find(|(_, (g, w))| g != w)
+    {
+        panic!("campaign report drifted at line {}:\n  got:  {got}\n  want: {want}", line + 1);
+    }
+    assert_eq!(rendered.len(), golden.len(), "campaign report drifted in length");
+}
+
 #[test]
 fn sweep_is_failure_free_on_both_substrates() {
     let report = run_campaign(&small_config(0xCA3A));
